@@ -1,0 +1,6 @@
+"""The repository benchmark: seeded audit, live and serve workloads.
+
+``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` runs one workload and prints its metrics; see
+``perfbench/README.md`` for the workloads and what each metric means.
+"""
