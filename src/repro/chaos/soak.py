@@ -37,7 +37,8 @@ from ..supervise import RetryPolicy
 from .core import ChaosEngine, FaultSpec
 
 __all__ = ["run_chaos_soak", "format_chaos_ledger", "default_fault_specs",
-           "build_soak_fleet_data"]
+           "build_soak_fleet_data", "tiny_detector", "final_verdicts",
+           "verdict_digest", "verdicts_match"]
 
 #: Tick the fleet after this many ingested pings.
 _TICK_EVERY = 400
@@ -56,7 +57,7 @@ def build_soak_fleet_data(data_seed: int = 13, num_trajectories: int = 50,
     return world, dataset
 
 
-def _tiny_detector(world, samples):
+def tiny_detector(world, samples):
     """A LEAD fitted just enough to emit real verdicts, quickly."""
     from ..detection import DetectorTrainingConfig
     from ..encoding import AutoencoderTrainingConfig
@@ -108,7 +109,7 @@ def _soak_task(index: int) -> int:
     return index * index
 
 
-def _final_verdicts(manager, pings) -> dict:
+def final_verdicts(manager, pings) -> dict:
     """Ingest ``pings`` with periodic ticks, then flush everything."""
     for count, ping in enumerate(pings, start=1):
         manager.ingest(ping.truck_id, ping.lat, ping.lng, ping.t,
@@ -119,7 +120,7 @@ def _final_verdicts(manager, pings) -> dict:
     return {(v.truck_id, v.day): v for v in manager.flush_all()}
 
 
-def _verdict_digest(finals: dict) -> str:
+def verdict_digest(finals: dict) -> str:
     """Bit-exact digest of a final-verdict map (determinism checks)."""
     h = hashlib.sha256()
     for key in sorted(finals):
@@ -131,7 +132,7 @@ def _verdict_digest(finals: dict) -> str:
     return h.hexdigest()
 
 
-def _verdicts_match(chaotic, baseline) -> bool:
+def verdicts_match(chaotic, baseline) -> bool:
     """The *verdict* must converge; the audit trail may not.
 
     Injected garbage pings are dropped by sanitize, which truthfully
@@ -180,7 +181,7 @@ def run_chaos_soak(seed: int = 7, *, detector=None, samples=None,
                                                num_trucks)
         samples = dataset.samples
         if detector is None and fit_detector:
-            detector = _tiny_detector(world, samples)
+            detector = tiny_detector(world, samples)
 
     base_pings = scramble_stream(dataset_ping_stream(samples), window=4,
                                  seed=data_seed)
@@ -193,7 +194,7 @@ def run_chaos_soak(seed: int = 7, *, detector=None, samples=None,
     # ---- fault-free baseline --------------------------------------
     # Everything stays resident: no spills, no restores — the purest
     # reference run the chaotic one must converge to.
-    baseline = _final_verdicts(
+    baseline = final_verdicts(
         FleetSessionManager(detector, FleetConfig(
             max_sessions=1_000_000, reorder_capacity=16)),
         base_pings)
@@ -219,7 +220,7 @@ def run_chaos_soak(seed: int = 7, *, detector=None, samples=None,
                 quarantine_dir=workdir / "quarantine",
                 io_retry=RetryPolicy(max_attempts=5, backoff_base_s=0.0,
                                      jitter=0.0)))
-            finals = _final_verdicts(manager, chaotic_pings)
+            finals = final_verdicts(manager, chaotic_pings)
 
             # Supervised parallel stage under injected worker crashes.
             parallel_counters: dict[str, int] = {}
@@ -238,7 +239,7 @@ def run_chaos_soak(seed: int = 7, *, detector=None, samples=None,
     for key, reference in baseline.items():
         if f"{key[0]}|{key[1]}" == poison_key:
             continue
-        if key not in finals or not _verdicts_match(finals[key], reference):
+        if key not in finals or not verdicts_match(finals[key], reference):
             mismatched.append(list(key))
     healthy_total = len(baseline) - 1
 
@@ -281,7 +282,7 @@ def run_chaos_soak(seed: int = 7, *, detector=None, samples=None,
         "faults_fired": len(ledger),
         "quarantine": manager.quarantine.summary(),
         "fleet": manager.stats(),
-        "verdict_digest": _verdict_digest(finals),
+        "verdict_digest": verdict_digest(finals),
         "ledger": ledger,
     }
 

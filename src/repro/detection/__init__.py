@@ -7,22 +7,20 @@ processing, and distribution merging (DESIGN.md S16-S18).
 from .grouping import (Group, backward_index_maps, build_backward_group,
                        build_forward_group, enumerate_pairs,
                        forward_index_maps, index_to_pair, merge_groups,
-                       pair_to_index)
+                       merged_index_maps, pair_to_index)
 from .labels import DEFAULT_EPSILON, smooth_label
 from .detectors import GroupDetector, IndependentDetector
 from .merge import argmax_pair, merge_distributions
-from .trainer import (DetectorSample, DetectorTrainer,
-                      DetectorTrainingConfig, IndependentDetectorTrainer)
+from .trainer import DetectorTrainingConfig
 from .joint import JointDetectorTrainer, TrajectorySpec
 
 __all__ = [
     "Group", "build_forward_group", "build_backward_group",
     "enumerate_pairs", "pair_to_index", "index_to_pair", "merge_groups",
-    "forward_index_maps", "backward_index_maps",
+    "forward_index_maps", "backward_index_maps", "merged_index_maps",
     "smooth_label", "DEFAULT_EPSILON",
     "GroupDetector", "IndependentDetector",
     "merge_distributions", "argmax_pair",
-    "DetectorSample", "DetectorTrainer", "DetectorTrainingConfig",
-    "IndependentDetectorTrainer",
+    "DetectorTrainingConfig",
     "JointDetectorTrainer", "TrajectorySpec",
 ]

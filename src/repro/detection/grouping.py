@@ -14,12 +14,14 @@ the relationships the BiLSTM detectors exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 __all__ = ["pair_to_index", "index_to_pair", "enumerate_pairs",
            "Group", "build_forward_group", "build_backward_group",
-           "forward_index_maps", "backward_index_maps", "merge_groups"]
+           "forward_index_maps", "backward_index_maps", "merged_index_maps",
+           "merge_groups"]
 
 
 def enumerate_pairs(num_stay_points: int) -> list[tuple[int, int]]:
@@ -117,6 +119,23 @@ def backward_index_maps(num_stay_points: int) -> list[np.ndarray]:
     """Candidate indices of subgroups ḡ_2..ḡ_n (same ending index,
     descending starting index)."""
     return _memoized_maps("backward", num_stay_points, _backward_index_maps)
+
+
+def merged_index_maps(map_builder, num_stay_points: Sequence[int]
+                      ) -> list[np.ndarray]:
+    """Subgroup index maps of several trajectories, rebased into one batch.
+
+    ``map_builder`` is :func:`forward_index_maps` or
+    :func:`backward_index_maps`; each trajectory's maps are offset by
+    the candidate counts of the trajectories before it, so they index
+    the concatenation of every trajectory's c-vecs.
+    """
+    maps: list[np.ndarray] = []
+    offset = 0
+    for n in num_stay_points:
+        maps.extend(indices + offset for indices in map_builder(n))
+        offset += n * (n - 1) // 2
+    return maps
 
 
 def _forward_index_maps(num_stay_points: int) -> list[np.ndarray]:

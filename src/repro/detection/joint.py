@@ -23,7 +23,8 @@ from ..nn import (Adam, CheckpointManager, EarlyStopping, TrainingHistory,
                   bce_loss, clip_grad_norm, concat, kld_loss, use_fused)
 from ..obs.core import active_obs
 from .detectors import GroupDetector, IndependentDetector
-from .grouping import backward_index_maps, forward_index_maps
+from .grouping import (backward_index_maps, forward_index_maps,
+                       merged_index_maps)
 from .labels import smooth_label
 from .trainer import DetectorTrainingConfig
 
@@ -212,19 +213,15 @@ class JointDetectorTrainer:
             smooth_label(len(spec.pairs), spec.target_index,
                          self.config.epsilon)
             for spec in batch])
+        segments = np.array([len(spec.pairs) for spec in batch])
+        ns = [spec.num_stay_points for spec in batch]
         losses = []
         for detector, map_builder in ((self.forward, forward_index_maps),
                                       (self.backward, backward_index_maps)):
             if detector is None:
                 continue
-            index_maps = []
-            offset = 0
-            for spec in batch:
-                for indices in map_builder(spec.num_stay_points):
-                    index_maps.append(indices + offset)
-                offset += len(spec.pairs)
-            segments = np.array([len(spec.pairs) for spec in batch])
-            probs = detector.score_indexed(all_cvecs, index_maps,
-                                           segments=segments)
+            probs = detector.score_indexed(
+                all_cvecs, merged_index_maps(map_builder, ns),
+                segments=segments)
             losses.append(kld_loss(label, probs))
         return losses

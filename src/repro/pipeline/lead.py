@@ -41,9 +41,9 @@ from ..data.poi import POIDatabase
 from ..data.dataset import LabeledSample
 from ..detection import (GroupDetector, IndependentDetector,
                          JointDetectorTrainer, TrajectorySpec,
-                         backward_index_maps, build_backward_group,
-                         build_forward_group, forward_index_maps,
-                         index_to_pair, merge_distributions, pair_to_index)
+                         backward_index_maps, forward_index_maps,
+                         index_to_pair, merge_distributions,
+                         merged_index_maps, pair_to_index)
 from ..encoding import (AutoencoderTrainer, HierarchicalAutoencoder)
 from ..errors import (ArtifactCorruptedError, DetectorUnavailableError,
                       InvalidTrajectoryError, NotFittedError,
@@ -67,6 +67,9 @@ __all__ = ["LEAD", "DetectionResult", "DetectionProvenance", "FitReport"]
 #: direction each one needs.
 _TIER_DIRECTIONS = (("both", "both"), ("forward-only", "forward"),
                     ("backward-only", "backward"))
+
+#: The provenance tier a strict single-direction request reports.
+_DIRECTION_TIERS = {direction: tier for tier, direction in _TIER_DIRECTIONS}
 
 
 def _process_sample(processor, sample: LabeledSample):
@@ -293,13 +296,11 @@ class LEAD:
         return stay, move
 
     def encode_candidates(self, processed: ProcessedTrajectory) -> np.ndarray:
-        """c-vecs of all candidates in enumeration order, shape (N, 64)."""
-        with obs_span("detect.featurize",
-                      stays=processed.num_stay_points):
-            stay, move = self._segments(processed)
-        pairs = [c.pair for c in processed.candidates]
-        with obs_span("detect.encode", candidates=len(pairs)):
-            return self.autoencoder.encode_trajectory(stay, move, pairs)
+        """c-vecs of all candidates in enumeration order, shape (N, 64).
+
+        A batch-of-one :meth:`encode_candidates_batch` call.
+        """
+        return self.encode_candidates_batch([processed])[0]
 
     def encode_candidates_batch(self, processed_list:
                                 list[ProcessedTrajectory]
@@ -308,8 +309,8 @@ class LEAD:
 
         One phase-1 compressor pass per branch covers every segment of
         every trajectory, and phase 2 runs over the merged candidate set
-        in shape buckets — the cross-trajectory analogue of
-        :meth:`encode_candidates` (results ``allclose``, and the list
+        in shape buckets (results ``allclose`` to the layer-level
+        :meth:`HierarchicalAutoencoder.encode_trajectory`, and the list
         lines up with the input order).
         """
         stay_lists, move_lists, pairs_lists = [], [], []
@@ -357,46 +358,15 @@ class LEAD:
         ``direction`` restricts inference to one detector ("forward" /
         "backward"), realizing LEAD-NoBac / LEAD-NoFor: the detectors are
         trained separately (paper §V-B), so dropping one at inference is
-        exactly the paper's ablation.
+        exactly the paper's ablation.  A batch-of-one
+        :meth:`predict_distribution_batch` call.
 
         Raises :class:`DetectorUnavailableError` when ``direction``
         selects no live detector and :class:`NumericalInstabilityError`
         when the merged distribution is not finite.
         """
-        self._require_fitted()
-        cvecs = self.encode_candidates(processed)
-        n = processed.num_stay_points
-        with no_grad():
-            if self.independent_detector is not None:
-                with obs_span("detect.score", direction=direction):
-                    probs = self.independent_detector(
-                        Tensor(cvecs)).numpy()
-                with obs_span("detect.merge"):
-                    return self._checked(merge_distributions(probs))
-            if direction == "both" and (self.forward_detector is None
-                                        or self.backward_detector is None):
-                missing = ("forward" if self.forward_detector is None
-                           else "backward")
-                raise DetectorUnavailableError(
-                    f"direction 'both' requires both detectors; the "
-                    f"{missing} detector is unavailable")
-            forward = backward = None
-            with obs_span("detect.score", direction=direction):
-                if self.forward_detector is not None and direction in (
-                        "both", "forward"):
-                    forward = self.forward_detector(
-                        build_forward_group(cvecs, n)).numpy()
-                if self.backward_detector is not None and direction in (
-                        "both", "backward"):
-                    backward = self.backward_detector(
-                        build_backward_group(cvecs, n)).numpy()
-        if forward is None and backward is None:
-            raise DetectorUnavailableError(
-                f"direction {direction!r} selects no available detector")
-        with obs_span("detect.merge"):
-            if forward is None:
-                return self._checked(merge_distributions(backward))
-            return self._checked(merge_distributions(forward, backward))
+        return self.predict_distribution_batch([processed],
+                                               direction=direction)[0]
 
     @staticmethod
     def _checked(distribution: np.ndarray) -> np.ndarray:
@@ -411,17 +381,11 @@ class LEAD:
 
         The evaluation harness uses this directly so ablation numbers
         are never silently polluted by fallback answers; the production
-        entry point :meth:`detect` wraps it with the degradation chain.
+        entry point :meth:`detect` walks the degradation chain instead.
+        A batch-of-one :meth:`detect_processed_batch` call.
         """
-        distribution = self.predict_distribution(processed, direction)
-        pair = index_to_pair(processed.num_stay_points,
-                             int(np.argmax(distribution)))
-        tier = {"both": "both", "forward": "forward-only",
-                "backward": "backward-only"}.get(direction, direction)
-        if self.independent_detector is not None:
-            tier = "independent"
-        return DetectionResult(pair, distribution, processed,
-                               DetectionProvenance(tier=tier))
+        return self.detect_processed_batch([processed],
+                                           direction=direction)[0]
 
     # ------------------------------------------------------------------
     # Precision tiers
@@ -581,8 +545,9 @@ class LEAD:
         The shared detector forward merges every trajectory's subgroups
         into one padded batch; ``segments`` keeps the flat softmax
         per-trajectory, so each returned distribution equals the
-        single-trajectory :meth:`predict_distribution` output up to GEMM
-        associativity.
+        layer-level single lane (``GroupDetector.forward`` over
+        ``build_forward_group`` / ``build_backward_group``, then
+        :func:`merge_distributions`) up to GEMM associativity.
         """
         if not processed_list:
             return []
@@ -610,22 +575,14 @@ class LEAD:
             with obs_span("detect.score", direction=direction):
                 if self.forward_detector is not None and direction in (
                         "both", "forward"):
-                    maps: list[np.ndarray] = []
-                    for n, off in zip(ns, offsets[:-1]):
-                        maps.extend(m + int(off)
-                                    for m in forward_index_maps(n))
                     forward = self.forward_detector.score_indexed(
-                        all_cvecs, maps, segments=counts,
-                        bucket=True).numpy()
+                        all_cvecs, merged_index_maps(forward_index_maps, ns),
+                        segments=counts, bucket=True).numpy()
                 if self.backward_detector is not None and direction in (
                         "both", "backward"):
-                    maps = []
-                    for n, off in zip(ns, offsets[:-1]):
-                        maps.extend(m + int(off)
-                                    for m in backward_index_maps(n))
                     backward = self.backward_detector.score_indexed(
-                        all_cvecs, maps, segments=counts,
-                        bucket=True).numpy()
+                        all_cvecs, merged_index_maps(backward_index_maps, ns),
+                        segments=counts, bucket=True).numpy()
         if forward is None and backward is None:
             raise DetectorUnavailableError(
                 f"direction {direction!r} selects no available detector")
@@ -661,12 +618,11 @@ class LEAD:
                                    *args,
                                    direction: str = "both"
                                    ) -> list[np.ndarray]:
-        """Batched :meth:`predict_distribution` over many trajectories.
+        """Merged distributions of many trajectories in one pass.
 
-        Same strict semantics (raises on unavailable detectors or any
-        non-finite distribution); results line up with the input order
-        and are ``allclose`` to per-trajectory calls.  ``direction`` is
-        keyword-only; the positional form is deprecated.
+        Strict: raises on unavailable detectors or any non-finite
+        distribution.  Results line up with the input order.
+        ``direction`` is keyword-only; the positional form is deprecated.
         """
         direction = self._direction_shim("predict_distribution_batch",
                                          args, direction)
@@ -679,17 +635,14 @@ class LEAD:
                                *args,
                                direction: str = "both"
                                ) -> list[DetectionResult]:
-        """Strict batched detection (the batch analogue of
-        :meth:`detect_processed`; raises on failure).  ``direction`` is
-        keyword-only; the positional form is deprecated."""
+        """Strict batched detection (raises on failure).  ``direction``
+        is keyword-only; the positional form is deprecated."""
         direction = self._direction_shim("detect_processed_batch",
                                          args, direction)
         distributions = self.predict_distribution_batch(
             processed_list, direction=direction)
-        tier = {"both": "both", "forward": "forward-only",
-                "backward": "backward-only"}.get(direction, direction)
-        if self.independent_detector is not None:
-            tier = "independent"
+        tier = ("independent" if self.independent_detector is not None
+                else _DIRECTION_TIERS.get(direction, direction))
         results = []
         for processed, distribution in zip(processed_list, distributions):
             pair = index_to_pair(processed.num_stay_points,
@@ -752,10 +705,9 @@ class LEAD:
         candidates then share batched encoder and detector forwards.
         The degradation chain is preserved per trajectory: a trajectory
         whose distribution is non-finite at one tier retries the lower
-        tiers alone, exactly as in :meth:`detect`, and the returned
-        provenance (tier, ``sanitized``, notes) matches the
-        per-trajectory path.  Returns one entry per input, ``None``
-        where :meth:`detect` would return ``None``.
+        tiers alone, and its provenance (tier, ``sanitized``, notes) is
+        its own.  Returns one entry per input, ``None`` where no
+        candidate exists (see :meth:`detect`).
         """
         self._require_fitted()
         return self._observed("detect_batch",
@@ -804,11 +756,8 @@ class LEAD:
         hold :class:`~repro.processing.ProcessedTrajectory` snapshots —
         and, optionally, the sanitize provenance notes that produced
         them — get one fused tier walk over the whole batch.  Results
-        line up with the input order and match what
-        :meth:`detect` computes per trajectory from the same snapshot
-        (same pair, ``allclose`` distribution, identical provenance),
-        including the degraded tiers when detectors are missing or
-        numerically unstable.
+        line up with the input order, including the degraded tiers when
+        detectors are missing or numerically unstable.
         """
         self._require_fitted()
         if notes_list is None:
@@ -826,13 +775,13 @@ class LEAD:
     def _detect_many_with_degradation(
             self, processed_list: list[ProcessedTrajectory],
             notes_list: list[list[str]]) -> list[DetectionResult]:
-        """Batched tier walk mirroring :meth:`_detect_with_degradation`.
+        """The tier walk; always returns provenance-tagged results.
 
         Each tier runs one batched forward over the trajectories still
         unresolved; structural failures (a direction with no live
-        detector) disqualify the tier for everyone with the same note
-        the serial path records, while per-trajectory numerical failures
-        only push that trajectory down to the next tier.
+        detector) disqualify the tier for everyone with the same note,
+        while per-trajectory numerical failures only push that
+        trajectory down to the next tier.
         """
         results: list[DetectionResult | None] = [None] * len(processed_list)
         compute_dtype = self._resolve_inference_dtype(processed_list)
@@ -895,68 +844,12 @@ class LEAD:
         ``None`` only when no candidate exists — too few stay points, or
         the trajectory was unsalvageable.  Raises only
         :class:`NotFittedError` (API misuse, not input hostility).
+        A batch-of-one :meth:`detect_batch` call under its own ``detect``
+        root span.
         """
         self._require_fitted()
-        return self._observed("detect",
-                              lambda: self._detect_impl(trajectory))
-
-    def _detect_impl(self, trajectory: Trajectory
-                     ) -> DetectionResult | None:
-        notes: list[str] = []
-        try:
-            with obs_span("detect.sanitize"):
-                trajectory, sanitize_notes = \
-                    sanitize_trajectory(trajectory)
-        except InvalidTrajectoryError as exc:
-            # Unsalvageable input: report "no detection" like too-few
-            # stay points rather than crashing a serving loop.
-            del exc
-            return None
-        notes.extend(sanitize_notes)
-        try:
-            with obs_span("detect.extract"):
-                processed = self.processor.process(trajectory)
-        except (ValueError, ArithmeticError):
-            return None
-        if processed is None:
-            return None
-        return self._detect_with_degradation(processed, notes)
-
-    def _detect_with_degradation(self, processed: ProcessedTrajectory,
-                                 notes: list[str]) -> DetectionResult:
-        """Walk the tier chain; always returns a provenance-tagged result."""
-        sanitized = bool(notes)
-        compute_dtype = self._resolve_inference_dtype([processed])
-        notes = notes + list(self._precision_notes)
-        if self.independent_detector is not None:
-            tiers: tuple[tuple[str, str], ...] = (("independent", "both"),)
-        else:
-            tiers = _TIER_DIRECTIONS
-        for tier, direction in tiers:
-            try:
-                with inference_dtype(compute_dtype):
-                    distribution = self.predict_distribution(processed,
-                                                             direction)
-            except (DetectorUnavailableError,
-                    NumericalInstabilityError) as exc:
-                obs_event("detection.tier_failed", tier=tier,
-                          error=str(exc), trajectories=1)
-                notes = notes + [f"tier {tier!r} failed: {exc}"]
-                continue
-            pair = index_to_pair(processed.num_stay_points,
-                                 int(np.argmax(distribution)))
-            if tier not in ("both", "independent"):
-                extra = self._degradation_note(tier, notes, sanitized,
-                                               compute_dtype)
-                if extra is not None:
-                    notes = notes + [extra]
-            self._count_verdict(tier)
-            return DetectionResult(
-                pair, distribution, processed,
-                DetectionProvenance(tier=tier, sanitized=sanitized,
-                                    notes=tuple(notes),
-                                    compute_dtype=compute_dtype))
-        return self._fallback_result(processed, notes, sanitized)
+        return self._observed(
+            "detect", lambda: self._detect_batch_impl([trajectory])[0])
 
     def _fallback_result(self, processed: ProcessedTrajectory,
                          notes: list[str],

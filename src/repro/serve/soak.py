@@ -16,10 +16,10 @@ import tempfile
 from pathlib import Path
 
 from ..chaos.core import ChaosEngine, FaultSpec
-# Internal reuse of the chaos soak's fixtures and its convergence
-# predicate keeps the two soaks honest about meaning the same thing.
-from ..chaos.soak import (_final_verdicts, _tiny_detector, _verdict_digest,
-                          _verdicts_match, build_soak_fleet_data)
+# Reusing the chaos soak's fixtures and its convergence predicate keeps
+# the two soaks honest about meaning the same thing.
+from ..chaos.soak import (build_soak_fleet_data, final_verdicts,
+                          tiny_detector, verdict_digest, verdicts_match)
 from ..stream.fleet import FleetConfig, FleetSessionManager
 from ..stream.replay import dataset_ping_stream
 from .config import ServeConfig
@@ -48,11 +48,11 @@ def run_serve_soak(*, seed: int = 7, data_seed: int = 13,
         data_seed=data_seed, num_trajectories=num_trajectories,
         num_trucks=num_trucks)
     pings = dataset_ping_stream(dataset.samples)
-    detector = (_tiny_detector(world, dataset.samples)
+    detector = (tiny_detector(world, dataset.samples)
                 if fit_detector else None)
 
     serial = FleetSessionManager(detector, FleetConfig())
-    baseline = _final_verdicts(serial, pings)
+    baseline = final_verdicts(serial, pings)
 
     if workdir is None:
         scratch = tempfile.TemporaryDirectory(prefix="serve-soak-")
@@ -95,7 +95,7 @@ def run_serve_soak(*, seed: int = 7, data_seed: int = 13,
         f"{key[0]}|{key[1]}"
         for key in set(baseline) | set(sharded)
         if key not in baseline or key not in sharded
-        or not _verdicts_match(sharded[key], baseline[key]))
+        or not verdicts_match(sharded[key], baseline[key]))
     return {
         "ok": not mismatches,
         "num_shards": num_shards,
@@ -108,8 +108,8 @@ def run_serve_soak(*, seed: int = 7, data_seed: int = 13,
         "rejected_pings": rejected_total,
         "kill_shard": kill_shard,
         "killed_midpoint": killed,
-        "serial_digest": _verdict_digest(baseline),
-        "sharded_digest": _verdict_digest(sharded),
+        "serial_digest": verdict_digest(baseline),
+        "sharded_digest": verdict_digest(sharded),
     }
 
 

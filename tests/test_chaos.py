@@ -261,9 +261,9 @@ class TestTornWriteFuzz:
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def soak_world():
-    from repro.chaos.soak import _tiny_detector, build_soak_fleet_data
+    from repro.chaos.soak import build_soak_fleet_data, tiny_detector
     world, dataset = build_soak_fleet_data()
-    detector = _tiny_detector(world, dataset.samples)
+    detector = tiny_detector(world, dataset.samples)
     return dataset.samples, detector
 
 

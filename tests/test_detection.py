@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.detection import (DetectorSample, DetectorTrainer,
-                             DetectorTrainingConfig, GroupDetector,
-                             IndependentDetector, IndependentDetectorTrainer,
-                             argmax_pair, build_backward_group,
-                             build_forward_group, enumerate_pairs,
-                             index_to_pair, merge_distributions,
-                             pair_to_index, smooth_label)
+from repro.detection import (DetectorTrainingConfig, GroupDetector,
+                             IndependentDetector, argmax_pair,
+                             build_backward_group, build_forward_group,
+                             enumerate_pairs, index_to_pair,
+                             merge_distributions, pair_to_index,
+                             smooth_label)
 
 RNG = np.random.default_rng(53)
 
@@ -194,67 +193,7 @@ class TestDetectors:
             detector(RNG.normal(size=(3, 8)))
 
 
-def synthetic_detector_samples(num_samples=40, n=4, dim=16, seed=0):
-    """Toy detection problem: the target candidate's c-vec has a marker."""
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(num_samples):
-        count = candidate_count(n)
-        cvecs = rng.normal(0.0, 0.3, size=(count, dim))
-        target = int(rng.integers(count))
-        cvecs[target, :4] += 2.0  # distinctive signature
-        samples.append(DetectorSample(cvecs, n, target))
-    return samples
-
-
 class TestTraining:
-    def test_detector_sample_validation(self):
-        with pytest.raises(ValueError):
-            DetectorSample(RNG.normal(size=(5, 4)), 4, 0)  # wrong count
-        with pytest.raises(ValueError):
-            DetectorSample(RNG.normal(size=(6, 4)), 4, 6)  # bad target
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DetectorTrainingConfig(epochs=0)
-
-    def test_pair_training_learns_toy_problem(self):
-        samples = synthetic_detector_samples()
-        rng = np.random.default_rng(1)
-        forward = GroupDetector(input_dim=16, hidden_size=16, num_layers=2,
-                                rng=rng)
-        backward = GroupDetector(input_dim=16, hidden_size=16, num_layers=2,
-                                 rng=rng)
-        trainer = DetectorTrainer(forward, backward, DetectorTrainingConfig(
-            epochs=10, learning_rate=3e-3, batch_size=8, patience=10))
-        hist_f, hist_b = trainer.fit(samples)
-        assert hist_f.final_loss < hist_f.epoch_losses[0]
-        assert hist_b.final_loss < hist_b.epoch_losses[0]
-        # The trained pair should now solve unseen toy samples.
-        test_samples = synthetic_detector_samples(num_samples=10, seed=99)
-        hits = 0
-        for sample in test_samples:
-            pf = forward(build_forward_group(sample.cvecs, 4)).numpy()
-            pb = backward(build_backward_group(sample.cvecs, 4)).numpy()
-            if int(np.argmax(merge_distributions(pf, pb))) == \
-                    sample.target_index:
-                hits += 1
-        assert hits >= 7
-
-    def test_independent_training_reduces_loss(self):
-        samples = synthetic_detector_samples(num_samples=20)
-        detector = IndependentDetector(input_dim=16,
-                                       rng=np.random.default_rng(2))
-        trainer = IndependentDetectorTrainer(
-            detector, DetectorTrainingConfig(epochs=6, learning_rate=3e-3,
-                                             batch_size=8, patience=10))
-        history = trainer.fit(samples)
-        assert history.final_loss < history.epoch_losses[0]
-
-    def test_fit_rejects_empty(self):
-        forward = GroupDetector(input_dim=4, hidden_size=4, num_layers=1)
-        backward = GroupDetector(input_dim=4, hidden_size=4, num_layers=1)
-        with pytest.raises(ValueError):
-            DetectorTrainer(forward, backward).fit([])
-        with pytest.raises(ValueError):
-            IndependentDetectorTrainer(IndependentDetector(4)).fit([])

@@ -10,7 +10,7 @@ from repro.detection import (DetectorTrainingConfig, GroupDetector,
                              TrajectorySpec, backward_index_maps,
                              build_backward_group, build_forward_group,
                              enumerate_pairs, forward_index_maps,
-                             merge_groups)
+                             merge_groups, merged_index_maps)
 from repro.encoding import EncoderConfig, HierarchicalAutoencoder
 from repro.nn import Parameter, SGD, Tensor
 from repro.nn.optim import Adam
@@ -38,6 +38,20 @@ class TestIndexMaps:
         maps = backward_index_maps(n)
         for a, b in zip(group.index_maps, maps):
             np.testing.assert_array_equal(a, b)
+
+    def test_merged_maps_match_merge_groups(self):
+        ns = [3, 5, 2, 4]
+        for builder, map_builder in ((build_forward_group,
+                                      forward_index_maps),
+                                     (build_backward_group,
+                                      backward_index_maps)):
+            merged = merge_groups([
+                builder(RNG.normal(size=(candidate_count(n), 4)), n)
+                for n in ns])
+            maps = merged_index_maps(map_builder, ns)
+            assert len(maps) == len(merged.index_maps)
+            for a, b in zip(merged.index_maps, maps):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestMergeGroups:

@@ -2,11 +2,12 @@
 
 Three contracts are nailed down here:
 
-1. **Batched == per-trajectory.**  ``detect_batch`` /
+1. **Batched == layer-level single lane.**  ``detect_batch`` /
    ``predict_distribution_batch`` / ``encode_candidates_batch`` return
-   the same answers as their serial counterparts (``allclose`` at
-   ``rtol=1e-9``), including degradation-tier provenance when detectors
-   are knocked out.
+   the same answers as the per-trajectory encoder, detector and merge
+   layers (``allclose`` at ``rtol=1e-9``), including degradation-tier
+   provenance when detectors are knocked out; ``detect`` is a batch of
+   one and bit-identical to ``detect_batch``.
 2. **Cache correctness.**  The content-keyed segment cache serves
    repeated featurizations without recomputation, returns identical
    matrices, and invalidates itself when the normalizer refits.
@@ -23,12 +24,16 @@ import pytest
 
 from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
                         generate_dataset)
-from repro.detection import DetectorTrainingConfig
+from repro.detection import (DetectorTrainingConfig, build_backward_group,
+                             build_forward_group, index_to_pair,
+                             merge_distributions)
 from repro.encoding import AutoencoderTrainingConfig
 from repro.encoding.autoencoder import build_pair_indices
+from repro.nn import no_grad
 from repro.perf import (LRUCache, SegmentFeatureCache, compare_to_baseline,
                         effective_workers, parallel_map, spawn_rng)
-from repro.pipeline import LEAD, LEADConfig
+from repro.pipeline import LEAD, DetectionProvenance, LEADConfig
+from repro.processing import sanitize_trajectory
 
 
 def tiny_lead_config(**overrides) -> LEADConfig:
@@ -63,11 +68,44 @@ def fitted(world_and_data):
 # ---------------------------------------------------------------------------
 # 1. Batched inference == per-trajectory inference
 # ---------------------------------------------------------------------------
+def layer_lane(lead, processed, direction="both"):
+    """c-vecs and merged distribution from the layer-level single lane.
+
+    The independent oracle of the batched lane: the autoencoder's
+    per-trajectory ``encode_trajectory``, each detector's ``forward``
+    over a :class:`~repro.detection.Group`, and ``merge_distributions``.
+    """
+    stay, move = lead._segments(processed)
+    pairs = [c.pair for c in processed.candidates]
+    n = processed.num_stay_points
+    cvecs = lead.autoencoder.encode_trajectory(stay, move, pairs)
+    forward = backward = None
+    with no_grad():
+        if direction in ("both", "forward"):
+            forward = lead.forward_detector(
+                build_forward_group(cvecs, n)).numpy()
+        if direction in ("both", "backward"):
+            backward = lead.backward_detector(
+                build_backward_group(cvecs, n)).numpy()
+    if forward is None:
+        return cvecs, merge_distributions(backward)
+    return cvecs, merge_distributions(forward, backward)
+
+
+def assert_bit_identical(single, batched):
+    assert (single is None) == (batched is None)
+    if single is None:
+        return
+    assert single.pair == batched.pair
+    assert np.array_equal(single.distribution, batched.distribution)
+    assert single.provenance == batched.provenance
+
+
 class TestBatchedEquivalence:
     def test_encode_candidates_batch_matches_loop(self, fitted):
         lead, dataset = fitted
         processed = self._processed(lead, dataset)
-        loop = [lead.encode_candidates(p) for p in processed]
+        loop = [layer_lane(lead, p)[0] for p in processed]
         batched = lead.encode_candidates_batch(processed)
         assert len(batched) == len(loop)
         for single, merged in zip(loop, batched):
@@ -77,29 +115,54 @@ class TestBatchedEquivalence:
     def test_predict_distribution_batch_matches_loop(self, fitted):
         lead, dataset = fitted
         processed = self._processed(lead, dataset)
-        loop = [lead.predict_distribution(p) for p in processed]
         batched = lead.predict_distribution_batch(processed)
-        for single, merged in zip(loop, batched):
+        assert len(batched) == len(processed)
+        for p, merged in zip(processed, batched):
+            _, single = layer_lane(lead, p)
             assert np.allclose(single, merged, rtol=1e-9, atol=0.0)
 
-    def test_detect_batch_matches_detect(self, fitted):
+    def test_detect_batch_matches_layer_lane(self, fitted):
         lead, dataset = fitted
         trajectories = [s.trajectory for s in dataset.samples[8:]]
-        singles = [lead.detect(t) for t in trajectories]
         batched = lead.detect_batch(trajectories)
-        assert len(batched) == len(singles)
-        for single, merged in zip(singles, batched):
-            assert (single is None) == (merged is None)
-            if single is None:
+        assert len(batched) == len(trajectories)
+        answered = 0
+        for trajectory, merged in zip(trajectories, batched):
+            clean, notes = sanitize_trajectory(trajectory)
+            processed = lead.processor.process(clean)
+            assert (processed is None) == (merged is None)
+            if processed is None:
                 continue
-            assert merged.pair == single.pair
-            assert merged.provenance == single.provenance
-            assert np.allclose(single.distribution, merged.distribution,
+            answered += 1
+            _, single = layer_lane(lead, processed)
+            assert np.allclose(single, merged.distribution,
                                rtol=1e-9, atol=0.0)
+            assert merged.pair == index_to_pair(
+                processed.num_stay_points, int(np.argmax(single)))
+            assert merged.provenance == DetectionProvenance(
+                tier="both", sanitized=bool(notes), notes=tuple(notes))
+        assert answered > 0
+
+    def test_detect_batch_matches_detect(self, fitted):
+        """``detect`` is a batch of one: bit-identical to its slot of
+        ``detect_batch``, including ``None`` for a hostile trajectory."""
+        lead, dataset = fitted
+        trajectories = [s.trajectory for s in dataset.samples[8:]]
+        good = trajectories[0]
+        # Too few points to yield two stay points: no detection.
+        trajectories.append(type(good)(good.lats[:3], good.lngs[:3],
+                                       good.ts[:3], truck_id=good.truck_id,
+                                       day=good.day))
+        singles = [lead.detect(t) for t in trajectories]
+        assert singles[-1] is None and singles[0] is not None
+        for trajectory, single in zip(trajectories, singles):
+            assert_bit_identical(single, lead.detect_batch([trajectory])[0])
 
     def test_detect_batch_degraded_provenance(self, world_and_data, fitted):
-        """Knocking out a detector degrades batched results exactly like
-        serial ones — same tier, same failure notes."""
+        """With the backward detector knocked out, detection degrades to
+        the forward-only tier: the layer-level forward lane's answer,
+        the failure note of the skipped tier, and ``detect`` still
+        bit-identical to ``detect_batch``."""
         world, dataset = world_and_data
         lead, _ = fitted
         crippled = LEAD(world.pois, tiny_lead_config())
@@ -110,19 +173,19 @@ class TestBatchedEquivalence:
         crippled.backward_detector = None
         crippled._fitted = True
         trajectories = [s.trajectory for s in dataset.samples[8:]]
-        singles = [crippled.detect(t) for t in trajectories]
         batched = crippled.detect_batch(trajectories)
         answered = 0
-        for single, merged in zip(singles, batched):
-            assert (single is None) == (merged is None)
-            if single is None:
+        for trajectory, merged in zip(trajectories, batched):
+            assert_bit_identical(crippled.detect(trajectory), merged)
+            if merged is None:
                 continue
             answered += 1
-            assert single.provenance.tier == "forward-only"
-            assert merged.provenance == single.provenance
+            assert merged.provenance.tier == "forward-only"
             assert any("tier 'both' failed" in note
                        for note in merged.provenance.notes)
-            assert merged.pair == single.pair
+            _, single = layer_lane(crippled, merged.processed, "forward")
+            assert np.allclose(single, merged.distribution,
+                               rtol=1e-9, atol=0.0)
         assert answered > 0
 
     def test_detect_batch_handles_hostile_entries(self, fitted):
