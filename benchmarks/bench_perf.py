@@ -73,6 +73,7 @@ def test_train_fused_vs_legacy_tape(trained_lead, test_processed, benchmark):
     from repro.encoding import (AutoencoderTrainer,
                                 AutoencoderTrainingConfig,
                                 HierarchicalAutoencoder)
+    from repro.nn import use_fused
     samples = []
     for processed in test_processed:
         samples.extend(
@@ -88,8 +89,9 @@ def test_train_fused_vs_legacy_tape(trained_lead, test_processed, benchmark):
 
     fused_s = benchmark(
         lambda: fit(AutoencoderTrainingConfig(epochs=1, seed=0)))
-    legacy_s = fit(AutoencoderTrainingConfig(epochs=1, seed=0, fused=False,
-                                             bucket_batches=False))
+    with use_fused(False):
+        legacy_s = fit(AutoencoderTrainingConfig(epochs=1, seed=0,
+                                                 bucket_batches=False))
     assert fused_s < legacy_s
 
 

@@ -12,7 +12,8 @@ import numpy as np
 
 from ..nn import (Linear, Module, Sequential, StackedBiLSTM, Tensor, concat,
                   masked_softmax)
-from ..nn.padding import pad_sequences
+from ..nn.padding import pad_sequences, pow2_buckets
+from ..nn.precision import inference_param
 from ..nn.rnn import sequence_mask
 from .grouping import Group
 
@@ -92,11 +93,28 @@ class GroupDetector(Module):
         return self._probabilities(cvecs[index], lengths, flat_indices,
                                    segments)
 
+    def _scores(self, batch: Tensor, lengths: np.ndarray) -> Tensor:
+        """Position scores ``(B, T)`` of a padded subgroup batch.
+
+        A row's scores depend on that row alone, so a subgroup gets the
+        same bits whichever subgroups share its batch.  numpy hands
+        one-row and one-column products to BLAS gemv, which rounds
+        differently from gemm, and for one column differently per row
+        count.  So a lone row runs as a duplicated pair, and the 1-unit
+        score layer is a row-wise dot product.
+        """
+        if batch.shape[0] == 1:
+            return self._scores(concat([batch, batch], axis=0),
+                                np.repeat(lengths, 2))[:1]
+        hidden = self.backbone(batch, lengths)                # (B, T, H)
+        weight = inference_param(self.score.weight).reshape(-1)
+        return ((hidden * weight).sum(axis=2)
+                + inference_param(self.score.bias))
+
     def _probabilities(self, batch: Tensor, lengths: np.ndarray,
                        flat_indices: np.ndarray,
                        segments: np.ndarray | None) -> Tensor:
-        hidden = self.backbone(batch, lengths)                # (B, T, H)
-        scores = self.score(hidden).reshape(batch.shape[0], batch.shape[1])
+        scores = self._scores(batch, lengths)
         order = np.argsort(flat_indices)
         if self.subgroup_softmax:
             mask = sequence_mask(lengths, batch.shape[1])
@@ -121,16 +139,13 @@ class GroupDetector(Module):
         maximum, and the per-subgroup score slices are reassembled in the
         original subgroup order before normalization.
         """
-        keys = 2 ** np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
         pieces: list[Tensor | None] = [None] * len(index_maps)
-        for key in np.unique(keys):
-            rows = np.nonzero(keys == key)[0]
+        for rows in pow2_buckets(lengths):
             width = int(lengths[rows].max())
             index = np.zeros((len(rows), width), dtype=np.int64)
             for r, row in enumerate(rows):
                 index[r, :int(lengths[row])] = index_maps[row]
-            hidden = self.backbone(cvecs[index], lengths[rows])
-            scores = self.score(hidden).reshape(len(rows), width)
+            scores = self._scores(cvecs[index], lengths[rows])
             for r, row in enumerate(rows):
                 pieces[row] = scores[r, :int(lengths[row])]
         order = np.argsort(flat_indices)

@@ -37,9 +37,6 @@ class DetectorTrainingConfig(ConfigMixin):
     max_grad_norm: float = 5.0
     weight_decay: float = 1e-4   # decoupled L2, curbs site memorization
     seed: int = 0
-    #: Route forwards through the fused single-node autograd ops
-    #: (:mod:`repro.nn.fused`); ``False`` forces the legacy tape.
-    fused: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.learning_rate <= 0 or self.batch_size < 1:

@@ -26,7 +26,7 @@ import numpy as np
 from ..configbase import ConfigMixin
 from ..features import CandidateFeatures
 from ..nn import Module, Tensor, concat, mse_loss, no_grad
-from ..nn.padding import pad_sequences
+from ..nn.padding import pad_sequences, pow2_buckets
 from ..nn.rnn import sequence_mask
 from .operators import CompressionOperator, DecompressionOperator
 
@@ -63,20 +63,19 @@ def build_pair_indices(pairs: list[tuple[int, int]]
     return sp_lengths, mp_lengths, sp_index, mp_index
 
 
-def _shape_buckets(lengths: np.ndarray, bucket: bool) -> list[np.ndarray]:
-    """Group candidate rows by the power-of-2 ceiling of their length.
-
-    Bucketing trades one big ragged pad for a few tighter ones: rows in
-    a bucket are padded to the bucket's true maximum, so a batch mixing
-    2-stay and 40-stay candidates does not pay 40-step recurrences for
-    everyone.  Correctness never depends on the grouping — padding is
-    freeze-masked — so ``bucket=False`` (a single group) is equivalent.
-    """
-    if not bucket or lengths.shape[0] <= 1:
-        return [np.arange(lengths.shape[0])]
-    clipped = np.maximum(lengths, 1)
-    keys = 2 ** np.ceil(np.log2(clipped)).astype(np.int64)
-    return [np.nonzero(keys == key)[0] for key in np.unique(keys)]
+def _flat_sequences(stay_segments: list[np.ndarray],
+                    move_segments: list[np.ndarray],
+                    pairs: list[tuple[int, int]]) -> list[np.ndarray]:
+    """The unsegmented f-seq of each candidate (LEAD-NoHie input)."""
+    flats = []
+    for i, j in pairs:
+        parts = []
+        for ordinal in range(i, j):
+            parts.append(stay_segments[ordinal - 1])
+            parts.append(move_segments[ordinal - 1])
+        parts.append(stay_segments[j - 1])
+        flats.append(np.concatenate(parts, axis=0))
+    return flats
 
 
 @dataclass(frozen=True)
@@ -152,261 +151,175 @@ class HierarchicalAutoencoder(Module):
         return concat([sp_vec, mp_vec], axis=1)
 
     # ------------------------------------------------------------------
-    # Decompression and reconstruction loss
+    # The compressor forward over many trajectories
     # ------------------------------------------------------------------
-    def reconstruction_loss(self, features: CandidateFeatures) -> Tensor:
-        """MSE between the f-seq and its decompression (paper Eq. 8)."""
-        if not self.config.hierarchical:
-            return self._flat_loss(features)
-        c_vec = self.compress(features)
-        h = self.config.hidden_size
-        v_sp = c_vec[:, :h]
-        v_mp = c_vec[:, h:]
-        loss_sp, n_sp = self._branch_loss(v_sp, features.stay_segments,
-                                          self.decomp_sp2, self.decomp_sp)
-        loss_mp, n_mp = self._branch_loss(v_mp, features.move_segments,
-                                          self.decomp_mp2, self.decomp_mp)
-        total = n_sp + n_mp
-        return loss_sp * (n_sp / total) + loss_mp * (n_mp / total)
+    def compress_trajectories(self, stay_lists: list[list[np.ndarray]],
+                              move_lists: list[list[np.ndarray]],
+                              pairs_lists: list[list[tuple[int, int]]]
+                              ) -> Tensor:
+        """c-vecs of every candidate of many trajectories, ``(ΣN, 2H)``.
 
-    def _branch_loss(self, branch_vec: Tensor, segments: list[np.ndarray],
-                     decomp_outer: DecompressionOperator,
-                     decomp_inner: DecompressionOperator
-                     ) -> tuple[Tensor, int]:
-        """Decompress one branch and return (masked MSE, #points)."""
-        # Phase 1 of the decompressor: vector -> c-vec sequence.
-        k = len(segments)
-        cvec_seq = decomp_outer(branch_vec, steps=k)      # (1, k, H)
-        cvec_seq = cvec_seq.reshape(k, self.config.hidden_size)
-        # Phase 2: each c-vec -> feature subsequence (batched over segments).
-        target, lengths = pad_sequences(segments)
-        recon = decomp_inner(cvec_seq, steps=int(lengths.max()),
-                             lengths=lengths)             # (k, T, F)
-        mask = sequence_mask(lengths, int(lengths.max()))
-        loss = mse_loss(recon, target, mask=mask)
-        return loss, int(lengths.sum())
+        The one compressor forward that pretraining
+        (:meth:`reconstruction_loss_batch`), joint fine-tuning and
+        inference (:meth:`encode_trajectories`) share; it records the
+        autograd tape whenever gradients are on.
 
-    def _flat_loss(self, features: CandidateFeatures) -> Tensor:
-        flat = features.flat()
-        c_vec = self.comp_flat(Tensor(flat[None, :, :]))
-        recon = self.decomp_flat(c_vec, steps=len(flat))
-        return mse_loss(recon, flat[None, :, :])
-
-    def reconstruction_loss_batch(self, batch: list[CandidateFeatures]
-                                  ) -> Tensor:
-        """Mean reconstruction MSE over a mini-batch of candidates.
-
-        Mathematically the mean of per-candidate losses, but computed with
-        shared padded batches so a training step costs a handful of large
-        matmuls instead of hundreds of small ones — essential on CPU.
-        """
-        if not batch:
-            raise ValueError("empty batch")
-        if not self.config.hierarchical:
-            flats = [f.flat() for f in batch]
-            padded, lengths = pad_sequences(flats)
-            c_vec = self.comp_flat(Tensor(padded), lengths)
-            recon = self.decomp_flat(c_vec, steps=int(lengths.max()),
-                                     lengths=lengths)
-            mask = sequence_mask(lengths, int(lengths.max()))
-            return mse_loss(recon, padded, mask=mask)
-        h = self.config.hidden_size
-        # Flat lists of all segments, with per-candidate index ranges.
-        sp_all: list[np.ndarray] = []
-        mp_all: list[np.ndarray] = []
-        sp_index = np.zeros((len(batch), max(len(f.stay_segments)
-                                             for f in batch)), dtype=np.int64)
-        mp_index = np.zeros((len(batch), max(len(f.move_segments)
-                                             for f in batch)), dtype=np.int64)
-        sp_counts = np.zeros(len(batch), dtype=np.int64)
-        mp_counts = np.zeros(len(batch), dtype=np.int64)
-        for b, features in enumerate(batch):
-            for segment in features.stay_segments:
-                sp_index[b, sp_counts[b]] = len(sp_all)
-                sp_all.append(segment)
-                sp_counts[b] += 1
-            for segment in features.move_segments:
-                mp_index[b, mp_counts[b]] = len(mp_all)
-                mp_all.append(segment)
-                mp_counts[b] += 1
-        # Phase 1 over every segment of every candidate at once.
-        sp_cvecs = self._phase1(sp_all, self.comp_sp)     # (K_sp, H)
-        mp_cvecs = self._phase1(mp_all, self.comp_mp)     # (K_mp, H)
-        # Phase 2 per candidate via one fancy-indexed gather.
-        sp_seq = sp_cvecs[sp_index]                       # (B, maxK, H)
-        mp_seq = mp_cvecs[mp_index]
-        v_sp = self.comp_sp2(sp_seq, sp_counts)           # (B, H)
-        v_mp = self.comp_mp2(mp_seq, mp_counts)
-        loss_sp, n_sp = self._branch_loss_batch(
-            v_sp, sp_all, sp_index, sp_counts, self.decomp_sp2,
-            self.decomp_sp)
-        loss_mp, n_mp = self._branch_loss_batch(
-            v_mp, mp_all, mp_index, mp_counts, self.decomp_mp2,
-            self.decomp_mp)
-        total = n_sp + n_mp
-        return loss_sp * (n_sp / total) + loss_mp * (n_mp / total)
-
-    def _branch_loss_batch(self, branch_vec: Tensor,
-                           segments: list[np.ndarray],
-                           index: np.ndarray, counts: np.ndarray,
-                           decomp_outer: DecompressionOperator,
-                           decomp_inner: DecompressionOperator
-                           ) -> tuple[Tensor, int]:
-        """Batched version of :meth:`_branch_loss` over many candidates."""
-        max_k = int(counts.max())
-        cvec_seq = decomp_outer(branch_vec, steps=max_k,
-                                lengths=counts)            # (B, maxK, H)
-        # Flatten back to one row per real segment (same order as
-        # ``segments``), via the (b, k) coordinates of each segment.
-        coords_b: list[int] = []
-        coords_k: list[int] = []
-        for b, count in enumerate(counts):
-            for k in range(int(count)):
-                coords_b.append(b)
-                coords_k.append(k)
-        flat_cvecs = cvec_seq[np.asarray(coords_b), np.asarray(coords_k)]
-        target, lengths = pad_sequences(segments)
-        recon = decomp_inner(flat_cvecs, steps=int(lengths.max()),
-                             lengths=lengths)
-        mask = sequence_mask(lengths, int(lengths.max()))
-        return mse_loss(recon, target, mask=mask), int(lengths.sum())
-
-    # ------------------------------------------------------------------
-    # Inference over all candidates of one trajectory
-    # ------------------------------------------------------------------
-    def encode_trajectory(self, stay_segments: list[np.ndarray],
-                          move_segments: list[np.ndarray],
-                          pairs: list[tuple[int, int]]) -> np.ndarray:
-        """Encode every candidate of a raw trajectory, shape ``(N, 2H)``.
-
-        Inference-only wrapper of :meth:`encode_trajectory_tensor`.
-        """
-        with no_grad():
-            return self.encode_trajectory_tensor(
-                stay_segments, move_segments, pairs).numpy()
-
-    def encode_trajectory_tensor(self, stay_segments: list[np.ndarray],
-                                 move_segments: list[np.ndarray],
-                                 pairs: list[tuple[int, int]]) -> Tensor:
-        """Differentiable batched encoding of all candidates, ``(N, 2H)``.
-
-        ``stay_segments[i]`` / ``move_segments[i]`` are the featurized
-        segments of stay point ``i+1`` / move point ``i+1``; candidate
-        ``(i', j')`` uses stay ordinals ``i'..j'`` and move ordinals
-        ``i'..j'-1``.  Phase-1 compression runs once per *unique* segment
-        rather than once per candidate — the big saving that lets LEAD
-        answer with a single forward computation (paper §VI-B) and that
-        makes joint fine-tuning affordable on CPU.
-        """
-        if not pairs:
-            raise ValueError("no candidate pairs to encode")
-        if not self.config.hierarchical:
-            return self._encode_flat(stay_segments, move_segments, pairs)
-        sp_cvecs = self._phase1(stay_segments, self.comp_sp)  # (n, H)
-        mp_cvecs = self._phase1(move_segments, self.comp_mp)
-        sp_lengths, mp_lengths, sp_index, mp_index = build_pair_indices(
-            pairs)
-        sp_vec = self.comp_sp2(sp_cvecs[sp_index], sp_lengths)
-        mp_vec = self.comp_mp2(mp_cvecs[mp_index], mp_lengths)
-        return concat([sp_vec, mp_vec], axis=1)
-
-    def _encode_flat(self, stay_segments, move_segments, pairs) -> Tensor:
-        flats = []
-        for i, j in pairs:
-            parts = []
-            for ordinal in range(i, j):
-                parts.append(stay_segments[ordinal - 1])
-                parts.append(move_segments[ordinal - 1])
-            parts.append(stay_segments[j - 1])
-            flats.append(np.concatenate(parts, axis=0))
-        batch, lengths = pad_sequences(flats)
-        return self.comp_flat(Tensor(batch), lengths)
-
-    # ------------------------------------------------------------------
-    # Inference over all candidates of many trajectories at once
-    # ------------------------------------------------------------------
-    def encode_trajectories(self, stay_lists: list[list[np.ndarray]],
-                            move_lists: list[list[np.ndarray]],
-                            pairs_lists: list[list[tuple[int, int]]],
-                            bucket: bool = True) -> list[np.ndarray]:
-        """Encode the candidates of many trajectories in fused batches.
-
-        Phase 1 runs *once* over every segment of every trajectory (two
-        GEMM-dominated passes instead of two per trajectory), and phase 2
-        runs once per shape bucket over the merged candidate set.  The
-        per-trajectory results equal :meth:`encode_trajectory` output up
-        to floating-point associativity of the underlying GEMMs (padding
-        itself is exact: freeze-masked recurrences and ``-1e9`` masked
-        attention zero padded contributions bit-for-bit).
-
-        Returns one ``(N_t, cvec_dim)`` array per input trajectory.
+        ``stay_lists[t][i]`` / ``move_lists[t][i]`` are the featurized
+        segments of stay point ``i+1`` / move point ``i+1`` of trajectory
+        ``t``; candidate ``(i, j)`` uses stay ordinals ``i..j`` and move
+        ordinals ``i..j-1``.  Phase 1 runs *once* over every unique
+        segment of every trajectory (not once per candidate — the saving
+        behind the paper's single forward computation, §VI-B), and phase
+        2 runs once per power-of-2 length bucket over the merged
+        candidate set.  Rows follow trajectory order, then pair order.
         """
         if not (len(stay_lists) == len(move_lists) == len(pairs_lists)):
             raise ValueError("per-trajectory lists must align")
-        if not stay_lists:
+        if not pairs_lists or any(not pairs for pairs in pairs_lists):
+            raise ValueError("no candidate pairs to encode")
+        if not self.config.hierarchical:
+            flats = [flat for stays, moves, pairs
+                     in zip(stay_lists, move_lists, pairs_lists)
+                     for flat in _flat_sequences(stays, moves, pairs)]
+            batch, lengths = pad_sequences(flats)
+            return self.comp_flat(Tensor(batch), lengths)
+        sp_cvecs = self._phase1([seg for segs in stay_lists for seg in segs],
+                                self.comp_sp)             # (ΣK_sp, H)
+        mp_cvecs = self._phase1([seg for segs in move_lists for seg in segs],
+                                self.comp_mp)             # (ΣK_mp, H)
+        # Flatten candidates, rebasing ordinals to global row offsets.
+        counts = [len(pairs) for pairs in pairs_lists]
+        pairs_arr = np.concatenate(
+            [np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+             for pairs in pairs_lists], axis=0)
+        sp_offsets = np.cumsum([0] + [len(s) for s in stay_lists[:-1]])
+        mp_offsets = np.cumsum([0] + [len(m) for m in move_lists[:-1]])
+        sp_start = np.repeat(sp_offsets, counts) + pairs_arr[:, 0] - 1
+        mp_start = np.repeat(mp_offsets, counts) + pairs_arr[:, 0] - 1
+        sp_lengths = pairs_arr[:, 1] - pairs_arr[:, 0] + 1
+        mp_lengths = sp_lengths - 1
+        buckets = pow2_buckets(sp_lengths)
+        parts = []
+        for rows in buckets:
+            width = int(sp_lengths[rows].max())
+            cols = np.arange(width)[None, :]
+            sp_idx = np.where(cols < sp_lengths[rows, None],
+                              sp_start[rows, None] + cols, 0)
+            mp_cols = np.arange(max(width - 1, 1))[None, :]
+            mp_idx = np.where(mp_cols < mp_lengths[rows, None],
+                              mp_start[rows, None] + mp_cols, 0)
+            parts.append(concat(
+                [self.comp_sp2(sp_cvecs[sp_idx], sp_lengths[rows]),
+                 self.comp_mp2(mp_cvecs[mp_idx], mp_lengths[rows])],
+                axis=1))
+        if len(parts) == 1:
+            return parts[0]
+        return concat(parts, axis=0)[np.argsort(np.concatenate(buckets))]
+
+    def encode_trajectories(self, stay_lists: list[list[np.ndarray]],
+                            move_lists: list[list[np.ndarray]],
+                            pairs_lists: list[list[tuple[int, int]]]
+                            ) -> list[np.ndarray]:
+        """Inference wrapper of :meth:`compress_trajectories`.
+
+        Returns one ``(N_t, cvec_dim)`` array per input trajectory (an
+        empty list for no trajectories).
+        """
+        if not (stay_lists or move_lists or pairs_lists):
             return []
-        if any(not pairs for pairs in pairs_lists):
+        with no_grad():
+            out = self.compress_trajectories(
+                stay_lists, move_lists, pairs_lists).numpy()
+        counts = [len(pairs) for pairs in pairs_lists]
+        return list(np.split(out, np.cumsum(counts)[:-1]))
+
+    def encode_trajectory(self, stay_segments: list[np.ndarray],
+                          move_segments: list[np.ndarray],
+                          pairs: list[tuple[int, int]]) -> np.ndarray:
+        """Encode every candidate of one trajectory, shape ``(N, 2H)``.
+
+        The per-trajectory reference for :meth:`compress_trajectories`:
+        phase 2 is one padded pass over :func:`build_pair_indices`
+        gathers, with no shape buckets.
+        """
+        if not pairs:
             raise ValueError("no candidate pairs to encode")
         with no_grad():
             if not self.config.hierarchical:
-                return self._encode_flat_many(
-                    stay_lists, move_lists, pairs_lists)
-            # Phase 1 once over every segment of every trajectory.
-            sp_offsets = np.cumsum([0] + [len(s) for s in stay_lists])
-            mp_offsets = np.cumsum([0] + [len(m) for m in move_lists])
-            sp_all = [seg for segs in stay_lists for seg in segs]
-            mp_all = [seg for segs in move_lists for seg in segs]
-            sp_cvecs = self._phase1(sp_all, self.comp_sp).numpy()
-            mp_cvecs = self._phase1(mp_all, self.comp_mp).numpy()
-            # Flatten candidates, rebasing ordinals to global row offsets.
-            counts = [len(pairs) for pairs in pairs_lists]
-            pairs_arr = np.concatenate(
-                [np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-                 for pairs in pairs_lists], axis=0)
-            sp_start = np.repeat(sp_offsets[:-1], counts) \
-                + pairs_arr[:, 0] - 1
-            mp_start = np.repeat(mp_offsets[:-1], counts) \
-                + pairs_arr[:, 0] - 1
-            sp_lengths = pairs_arr[:, 1] - pairs_arr[:, 0] + 1
-            mp_lengths = pairs_arr[:, 1] - pairs_arr[:, 0]
-            h = self.config.hidden_size
-            out = np.empty((pairs_arr.shape[0], self.config.cvec_dim),
-                           dtype=sp_cvecs.dtype)
-            for rows in _shape_buckets(sp_lengths, bucket):
-                width = int(sp_lengths[rows].max())
-                cols = np.arange(width)[None, :]
-                sp_idx = np.where(cols < sp_lengths[rows, None],
-                                  sp_start[rows, None] + cols, 0)
-                mp_cols = np.arange(max(width - 1, 1))[None, :]
-                mp_idx = np.where(mp_cols < mp_lengths[rows, None],
-                                  mp_start[rows, None] + mp_cols, 0)
-                sp_vec = self.comp_sp2(Tensor(sp_cvecs[sp_idx]),
-                                       sp_lengths[rows])
-                mp_vec = self.comp_mp2(Tensor(mp_cvecs[mp_idx]),
-                                       mp_lengths[rows])
-                out[rows, :h] = sp_vec.numpy()
-                out[rows, h:] = mp_vec.numpy()
-            return list(np.split(out, np.cumsum(counts)[:-1]))
+                return self._encode_flat(stay_segments, move_segments,
+                                         pairs).numpy()
+            sp_cvecs = self._phase1(stay_segments, self.comp_sp)  # (n, H)
+            mp_cvecs = self._phase1(move_segments, self.comp_mp)
+            sp_lengths, mp_lengths, sp_index, mp_index = build_pair_indices(
+                pairs)
+            sp_vec = self.comp_sp2(sp_cvecs[sp_index], sp_lengths)
+            mp_vec = self.comp_mp2(mp_cvecs[mp_index], mp_lengths)
+            return concat([sp_vec, mp_vec], axis=1).numpy()
 
-    def _encode_flat_many(self, stay_lists, move_lists,
-                          pairs_lists) -> list[np.ndarray]:
-        """LEAD-NoHie batched inference: one flat pass over all candidates."""
-        flats: list[np.ndarray] = []
-        counts: list[int] = []
-        for stays, moves, pairs in zip(stay_lists, move_lists, pairs_lists):
-            counts.append(len(pairs))
-            for i, j in pairs:
-                parts = []
-                for ordinal in range(i, j):
-                    parts.append(stays[ordinal - 1])
-                    parts.append(moves[ordinal - 1])
-                parts.append(stays[j - 1])
-                flats.append(np.concatenate(parts, axis=0))
-        batch, lengths = pad_sequences(flats)
-        out = self.comp_flat(Tensor(batch), lengths).numpy()
-        return list(np.split(out, np.cumsum(counts)[:-1]))
+    def _encode_flat(self, stay_segments, move_segments, pairs) -> Tensor:
+        batch, lengths = pad_sequences(
+            _flat_sequences(stay_segments, move_segments, pairs))
+        return self.comp_flat(Tensor(batch), lengths)
 
     def encode(self, features: CandidateFeatures) -> np.ndarray:
         """The c-vec of one candidate as a ``(cvec_dim,)`` array."""
         with no_grad():
             return self.compress(features).numpy()[0]
+
+    # ------------------------------------------------------------------
+    # Decompression and reconstruction loss
+    # ------------------------------------------------------------------
+    def reconstruction_loss(self, features: CandidateFeatures) -> Tensor:
+        """MSE between the f-seq and its decompression (paper Eq. 8)."""
+        return self.reconstruction_loss_batch([features])
+
+    def reconstruction_loss_batch(self, batch: list[CandidateFeatures]
+                                  ) -> Tensor:
+        """Mean reconstruction MSE over a mini-batch of candidates.
+
+        Each candidate is compressed as a one-pair trajectory ``(1, k)``
+        through :meth:`compress_trajectories`, then both decompressor
+        phases run over shared padded batches, so a training step costs
+        a handful of large matmuls instead of hundreds of small ones.
+        """
+        if not batch:
+            raise ValueError("empty batch")
+        stays = [f.stay_segments for f in batch]
+        moves = [f.move_segments for f in batch]
+        c_vec = self.compress_trajectories(
+            stays, moves, [[(1, len(s))] for s in stays])
+        if not self.config.hierarchical:
+            target, lengths = pad_sequences([f.flat() for f in batch])
+            recon = self.decomp_flat(c_vec, steps=int(lengths.max()),
+                                     lengths=lengths)
+            mask = sequence_mask(lengths, int(lengths.max()))
+            return mse_loss(recon, target, mask=mask)
+        h = self.config.hidden_size
+        loss_sp, n_sp = self._branch_loss_batch(
+            c_vec[:, :h], stays, self.decomp_sp2, self.decomp_sp)
+        loss_mp, n_mp = self._branch_loss_batch(
+            c_vec[:, h:], moves, self.decomp_mp2, self.decomp_mp)
+        total = n_sp + n_mp
+        return loss_sp * (n_sp / total) + loss_mp * (n_mp / total)
+
+    def _branch_loss_batch(self, branch_vec: Tensor,
+                           segment_lists: list[list[np.ndarray]],
+                           decomp_outer: DecompressionOperator,
+                           decomp_inner: DecompressionOperator
+                           ) -> tuple[Tensor, int]:
+        """Decompress one branch of many candidates: (masked MSE, #points)."""
+        counts = np.array([len(s) for s in segment_lists], dtype=np.int64)
+        # Phase 1 of the decompressor: vector -> c-vec sequence.
+        cvec_seq = decomp_outer(branch_vec, steps=int(counts.max()),
+                                lengths=counts)            # (B, maxK, H)
+        # One row per real segment, in candidate then segment order.
+        rows = np.repeat(np.arange(len(counts)), counts)
+        cols = np.arange(int(counts.sum())) - np.repeat(
+            np.cumsum(counts) - counts, counts)
+        # Phase 2: each c-vec -> feature subsequence.
+        target, lengths = pad_sequences(
+            [seg for segs in segment_lists for seg in segs])
+        recon = decomp_inner(cvec_seq[rows, cols], steps=int(lengths.max()),
+                             lengths=lengths)
+        mask = sequence_mask(lengths, int(lengths.max()))
+        return mse_loss(recon, target, mask=mask), int(lengths.sum())

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["pad_sequences"]
+__all__ = ["pad_sequences", "pow2_buckets"]
 
 
 def pad_sequences(sequences: Sequence[np.ndarray]
@@ -39,3 +39,15 @@ def pad_sequences(sequences: Sequence[np.ndarray]
     for i, s in enumerate(sequences):
         batch[i, :len(s)] = s
     return batch, lengths
+
+
+def pow2_buckets(lengths: np.ndarray) -> list[np.ndarray]:
+    """Group rows by the power-of-2 ceiling of their sequence length.
+
+    Rows in a group are padded only to the group's own maximum, so a
+    batch mixing 2-step and 40-step sequences does not pay 40-step
+    recurrences for every row.  Padding is freeze-masked, so the
+    grouping changes wasted arithmetic, not what is computed.
+    """
+    keys = 2 ** np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
+    return [np.nonzero(keys == key)[0] for key in np.unique(keys)]

@@ -19,7 +19,7 @@ Measures, at a named experiment scale:
   own featurized candidates: the fused default path
   (:mod:`repro.nn.fused` single-node kernels + length-bucketed
   batching) versus the legacy per-step tape with the historical batch
-  stream (``fused=False, bucket_batches=False``);
+  stream (``use_fused(False)``, ``bucket_batches=False``);
 * wall-clock of a full tiny-scale offline ``fit`` (always tiny,
   whatever the bench scale — it is the trend line, not a rate).
 
@@ -41,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..nn import use_fused
 from ..nn.precision import inference_dtype as nn_inference_dtype
 
 __all__ = ["run_bench", "run_stream_bench", "compare_to_baseline",
@@ -441,7 +442,7 @@ def _training_metrics(lead, processed, repeats: int,
         return {}
     configs = {
         "fused": AutoencoderTrainingConfig(epochs=1, seed=0),
-        "unfused": AutoencoderTrainingConfig(epochs=1, seed=0, fused=False,
+        "unfused": AutoencoderTrainingConfig(epochs=1, seed=0,
                                              bucket_batches=False),
     }
     batch_size = configs["fused"].batch_size
@@ -449,23 +450,24 @@ def _training_metrics(lead, processed, repeats: int,
     metrics: dict[str, float] = {"train_bench_candidates": len(samples),
                                  "train_bench_steps": steps}
 
-    def timed_fit(cfg) -> float:
+    def timed_fit(name: str) -> float:
         """Wall-clock of ``fit`` alone (model init excluded)."""
         model = HierarchicalAutoencoder(lead.config.encoder)
-        trainer = AutoencoderTrainer(model, cfg)
-        start = time.perf_counter()
-        trainer.fit(samples)
-        return time.perf_counter() - start
+        trainer = AutoencoderTrainer(model, configs[name])
+        with use_fused(name == "fused"):
+            start = time.perf_counter()
+            trainer.fit(samples)
+            return time.perf_counter() - start
 
     # Interleave the two measurements so slow drift on shared CI
     # machines hits both paths equally; training runs are short, so a
     # higher repeat floor is affordable and tames the ratio's noise.
     rounds = max(repeats, 5)
     walls = {name: float("inf") for name in configs}
-    timed_fit(configs["fused"])  # warm-up (allocator, BLAS threads)
+    timed_fit("fused")  # warm-up (allocator, BLAS threads)
     for _ in range(rounds):
-        for name, cfg in configs.items():
-            walls[name] = min(walls[name], timed_fit(cfg))
+        for name in configs:
+            walls[name] = min(walls[name], timed_fit(name))
     for name in configs:
         metrics[f"train_epoch_{name}_s"] = walls[name]
         metrics[f"train_steps_{name}_sps"] = steps / walls[name]

@@ -97,9 +97,9 @@ class TestHierarchicalAutoencoder:
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig())
         p0 = processed[0]
-        stay_segments = [featurizer._segment_features(sp)
+        stay_segments = [featurizer.segment_features(sp)
                          for sp in p0.stay_points]
-        move_segments = [featurizer._segment_features(mp)
+        move_segments = [featurizer.segment_features(mp)
                          for mp in p0.move_points]
         pairs = [c.pair for c in p0.candidates]
         batch = model.encode_trajectory(stay_segments, move_segments, pairs)
@@ -121,9 +121,9 @@ class TestHierarchicalAutoencoder:
         loss = model.reconstruction_loss(features)
         assert np.isfinite(loss.item())
         p0 = processed[0]
-        stay_segments = [featurizer._segment_features(sp)
+        stay_segments = [featurizer.segment_features(sp)
                          for sp in p0.stay_points]
-        move_segments = [featurizer._segment_features(mp)
+        move_segments = [featurizer.segment_features(mp)
                          for mp in p0.move_points]
         pairs = [c.pair for c in p0.candidates]
         batch = model.encode_trajectory(stay_segments, move_segments, pairs)
@@ -134,6 +134,34 @@ class TestHierarchicalAutoencoder:
         model = HierarchicalAutoencoder(EncoderConfig(use_attention=False))
         features = featurizer.featurize(processed[0].candidates[0])
         assert model.encode(features).shape == (64,)
+
+    @pytest.mark.parametrize("hierarchical", [True, False])
+    def test_one_pair_lane_matches_compress(self, pipeline, hierarchical):
+        """Pretraining's one-pair trajectories ``(1, k)`` through the
+        shared compressor forward give each candidate's ``compress``."""
+        processed, featurizer = pipeline
+        model = HierarchicalAutoencoder(
+            EncoderConfig(hierarchical=hierarchical))
+        batch = featurizer.featurize_all(processed[0].candidates)
+        lane = model.compress_trajectories(
+            [f.stay_segments for f in batch],
+            [f.move_segments for f in batch],
+            [[(1, len(f.stay_segments))] for f in batch]).numpy()
+        assert lane.shape == (len(batch), 64)
+        for row, features in zip(lane, batch):
+            np.testing.assert_allclose(
+                row, model.compress(features).numpy()[0], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("hierarchical", [True, False])
+    def test_reconstruction_loss_is_batch_of_one(self, pipeline,
+                                                 hierarchical):
+        processed, featurizer = pipeline
+        model = HierarchicalAutoencoder(
+            EncoderConfig(hierarchical=hierarchical))
+        features = featurizer.featurize(processed[0].candidates[2])
+        assert np.array_equal(
+            model.reconstruction_loss(features).numpy(),
+            model.reconstruction_loss_batch([features]).numpy())
 
     def test_serialization_roundtrip(self, pipeline, tmp_path):
         processed, featurizer = pipeline

@@ -365,9 +365,9 @@ class TestTrainerEquivalence:
         for fused in (True, False):
             model = HierarchicalAutoencoder(EncoderConfig(seed=21))
             cfg = AutoencoderTrainingConfig(
-                epochs=2, batch_size=4, seed=3, fused=fused,
-                bucket_batches=False)
-            history = AutoencoderTrainer(model, cfg).fit(samples)
+                epochs=2, batch_size=4, seed=3, bucket_batches=False)
+            with use_fused(fused):
+                history = AutoencoderTrainer(model, cfg).fit(samples)
             losses[fused] = history.epoch_losses
         np.testing.assert_allclose(losses[True], losses[False],
                                    rtol=1e-7)

@@ -10,9 +10,9 @@ from repro.detection import (DetectorTrainingConfig, GroupDetector,
                              TrajectorySpec, backward_index_maps,
                              build_backward_group, build_forward_group,
                              enumerate_pairs, forward_index_maps,
-                             merge_groups, merged_index_maps)
+                             merge_groups, merged_index_maps, smooth_label)
 from repro.encoding import EncoderConfig, HierarchicalAutoencoder
-from repro.nn import Parameter, SGD, Tensor
+from repro.nn import Parameter, Tensor, bce_loss, kld_loss, no_grad
 from repro.nn.optim import Adam
 
 RNG = np.random.default_rng(71)
@@ -114,6 +114,26 @@ class TestScoreIndexed:
             Tensor(cvecs), forward_index_maps(n)).numpy()
         np.testing.assert_allclose(via_group, via_index, atol=1e-12)
 
+    def test_bucketed_scores_independent_of_batch_companions(self):
+        """A trajectory's slice of a merged, bucketed pass is bit-identical
+        to scoring it alone, including subgroups alone in their bucket."""
+        ns = [3, 6, 4, 2]
+        cvecs = [RNG.normal(size=(candidate_count(n), 8)) for n in ns]
+        counts = np.array([len(c) for c in cvecs])
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        detector = GroupDetector(input_dim=8, hidden_size=6, num_layers=2,
+                                 rng=np.random.default_rng(3))
+        for map_builder in (forward_index_maps, backward_index_maps):
+            with no_grad():
+                merged = detector.score_indexed(
+                    Tensor(np.concatenate(cvecs)),
+                    merged_index_maps(map_builder, ns), segments=counts,
+                    bucket=True).numpy()
+                for n, c, a, b in zip(ns, cvecs, offsets[:-1], offsets[1:]):
+                    alone = detector.score_indexed(
+                        Tensor(c), map_builder(n), bucket=True).numpy()
+                    assert np.array_equal(alone, merged[a:b])
+
     def test_gradients_flow_to_cvecs(self):
         n = 4
         cvecs = Tensor(RNG.normal(size=(candidate_count(n), 8)),
@@ -213,6 +233,46 @@ class TestJointTrainer:
                 epochs=2, batch_size=3, seed=0))
         histories = trainer.fit(make_specs(rng, n_specs=4))
         assert histories[0].name == "independent-detector"
+
+    @pytest.mark.parametrize("grouping", [True, False])
+    def test_batch_losses_match_per_trajectory_reference(self, grouping):
+        """One compressor forward and bucketed scoring over a mixed-length
+        batch give the losses of per-trajectory ``encode_trajectory``
+        c-vecs scored by the padded ``score_indexed(bucket=False)``."""
+        rng = np.random.default_rng(10)
+        batch = (make_specs(rng, n_specs=1, n=3)
+                 + make_specs(rng, n_specs=1, n=6)
+                 + make_specs(rng, n_specs=1, n=4))
+        ae = HierarchicalAutoencoder(EncoderConfig(seed=10))
+        if grouping:
+            fwd = GroupDetector(64, 8, 1, np.random.default_rng(11))
+            bwd = GroupDetector(64, 8, 1, np.random.default_rng(12))
+            trainer = JointDetectorTrainer(ae, fwd, bwd)
+        else:
+            mlp = IndependentDetector(64, np.random.default_rng(13))
+            trainer = JointDetectorTrainer(ae, None, None, mlp)
+        losses = [loss.item() for loss in trainer._batch_losses(batch)]
+        cvecs = [Tensor(ae.encode_trajectory(s.stay_segments,
+                                             s.move_segments, s.pairs))
+                 for s in batch]
+        if grouping:
+            eps = trainer.config.epsilon
+            expected = [
+                sum(kld_loss(smooth_label(len(s.pairs), s.target_index, eps),
+                             detector.score_indexed(
+                                 c, maps(s.num_stay_points),
+                                 bucket=False)).item()
+                    for s, c in zip(batch, cvecs))
+                for detector, maps in ((fwd, forward_index_maps),
+                                       (bwd, backward_index_maps))]
+        else:
+            # The batch loss is the candidate-weighted mean BCE, times
+            # the batch size.
+            total = sum(len(s.pairs) for s in batch)
+            expected = [len(batch) / total * sum(
+                bce_loss(mlp(c), np.eye(len(s.pairs))[s.target_index]).item()
+                * len(s.pairs) for s, c in zip(batch, cvecs))]
+        np.testing.assert_allclose(losses, expected, rtol=1e-9, atol=0)
 
     def test_fit_rejects_empty(self):
         ae = HierarchicalAutoencoder(EncoderConfig())
